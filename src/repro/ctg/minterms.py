@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
+from .compiled import CompiledCtg
 from .conditions import ConditionProduct, Outcome, TRUE, minimal_products, product_probability
 from .graph import CTGError, ConditionalTaskGraph, NodeKind
 
@@ -233,11 +234,16 @@ class CtgAnalysis:
     class only provides the per-graph home so repeated
     ``schedule_online`` calls that produce the same mapping reuse the
     enumerated path set instead of re-deriving it).
+
+    ``compiled`` is the graph's integer adjacency and reachability
+    (:class:`~repro.ctg.compiled.CompiledCtg`), which the list
+    scheduler reads instead of walking the graph.
     """
 
     scenarios: Tuple[Scenario, ...]
     exclusions: Dict[str, FrozenSet[str]]
     gammas: Dict[str, Tuple[ConditionProduct, ...]]
+    compiled: CompiledCtg = field(compare=False, repr=False)
     path_cache: Dict[object, object] = field(
         default_factory=dict, compare=False, repr=False
     )
@@ -251,6 +257,7 @@ class CtgAnalysis:
             scenarios=scenarios,
             exclusions=exclusion_table(real, scenarios),
             gammas=gamma(real),
+            compiled=CompiledCtg.of(real),
         )
 
 

@@ -25,16 +25,22 @@ refreshed until empty.
 Setting ``probability_aware=False`` and ``mutex_overlap=False``
 degrades the scheduler to a classic worst-case DLS — the mapping and
 ordering stage used by Reference Algorithm 1.
+
+Every structural query of the main loop (in-edges, the ready list, the
+redundancy test of a pseudo edge) reads a
+:class:`~repro.ctg.compiled.CompiledCtg` built once per graph change
+and cached on the :class:`~repro.ctg.minterms.CtgAnalysis`; only the
+working copy that records the pseudo edges is a networkx graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
-
-import networkx as nx
+from bisect import insort
+from itertools import chain
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..check.tolerances import EXACT_EPS
+from ..ctg.compiled import CompiledCtg
 from ..ctg.graph import ConditionalTaskGraph
 from ..ctg.minterms import (
     BranchProbabilities,
@@ -45,6 +51,16 @@ from ..ctg.minterms import (
 from ..platform.mpsoc import Platform
 from ..profiling import StageProfiler, as_profiler
 from .schedule import CommBooking, Schedule, SchedulingError
+
+_NONE: frozenset = frozenset()
+
+#: A busy interval on a PE or link: (start, finish, task name).  Lists
+#: of them are kept sorted, so filtering out the exclusive ones leaves
+#: the (start, finish) pairs in sorted order.
+_Interval = Tuple[float, float, str]
+
+#: A transfer a candidate placement needs: (src id, start, duration, kbytes).
+_Transfer = Tuple[int, float, float, float]
 
 
 def static_levels(
@@ -60,158 +76,201 @@ def static_levels(
     Σ prob(c) · SL(successor via c)``, with unconditional successors
     entering through the max term alongside the weighted sum.
     """
-    levels: Dict[str, float] = {}
-    for task in reversed(ctg.topological_order()):
-        base = platform.average_wcet(task)
+    compiled = CompiledCtg.of(ctg)
+    levels = _levels(compiled, platform, probabilities, probability_aware)
+    return {compiled.tasks[i]: levels[i] for i in reversed(compiled.topo)}
+
+
+def _levels(
+    compiled: CompiledCtg,
+    platform: Platform,
+    probabilities: BranchProbabilities,
+    probability_aware: bool,
+) -> List[float]:
+    """Static levels by task id (see :func:`static_levels`)."""
+    levels = [0.0] * len(compiled.tasks)
+    for node in reversed(compiled.topo):
+        base = platform.average_wcet(compiled.tasks[node])
         cond_sum = 0.0
         uncond_best = 0.0
         has_cond = False
-        for _src, dst, data in ctg.out_edges(task, include_pseudo=False):
-            if data.condition is not None and probability_aware:
+        for dst, guard in zip(compiled.successors[node], compiled.out_guards[node]):
+            if guard is not None and probability_aware:
                 has_cond = True
-                prob = probabilities[data.condition.branch][data.condition.label]
-                cond_sum += prob * levels[dst]
+                cond_sum += probabilities[guard.branch][guard.label] * levels[dst]
             else:
                 uncond_best = max(uncond_best, levels[dst])
         tail = max(cond_sum, uncond_best) if has_cond else uncond_best
-        levels[task] = base + tail
+        levels[node] = base + tail
     return levels
 
 
-@dataclass
-class _LinkBooking:
-    """Mutable view of transfers on one link during scheduling."""
+def _candidates(
+    compiled: CompiledCtg,
+    platform: Platform,
+    fixed_mapping: Optional[Mapping[str, str]],
+) -> List[Tuple[Tuple[str, float, float], ...]]:
+    """Per task id, its ``(pe, wcet, δ)`` options in PE order.
 
-    intervals: List[Tuple[float, float, str]]  # (start, finish, src_task)
+    ``δ = averageWCET − WCET`` is the heterogeneity preference.  A
+    fixed mapping narrows each task to its assigned PE, which must
+    exist and support the task.
+    """
+    pe_names = platform.pe_names
+    table = []
+    for task in compiled.tasks:
+        avg = platform.average_wcet(task)
+        if fixed_mapping is None:
+            pes: Sequence[str] = [pe for pe in pe_names if platform.supports(task, pe)]
+        else:
+            if task not in fixed_mapping:
+                raise SchedulingError(f"fixed mapping has no PE for task {task!r}")
+            pe = fixed_mapping[task]
+            if pe not in pe_names:
+                raise SchedulingError(
+                    f"fixed mapping puts task {task!r} on unknown PE {pe!r}"
+                )
+            if not platform.supports(task, pe):
+                raise SchedulingError(
+                    f"fixed mapping puts task {task!r} on PE {pe!r}, "
+                    "which does not support it"
+                )
+            pes = [pe]
+        options = []
+        for pe in pes:
+            wcet = platform.wcet(task, pe)
+            options.append((pe, wcet, avg - wcet))
+        table.append(tuple(options))
+    return table
+
+
+def _link(a: str, b: str) -> Tuple[str, str]:
+    """Key of the point-to-point link between two PEs."""
+    return (a, b) if a <= b else (b, a)
+
+
+def _earliest_slot(
+    busy: Sequence[_Interval], exclusive: frozenset, ready: float, duration: float
+) -> float:
+    """Earliest start ≥ ready that fits ``duration`` between the sorted
+    ``busy`` intervals, ignoring those of ``exclusive`` tasks (mutually
+    exclusive work may overlap — it can never both happen)."""
+    start = ready
+    for interval_start, interval_finish, other in busy:
+        if other in exclusive:
+            continue
+        if start + duration <= interval_start + EXACT_EPS:
+            break
+        start = max(start, interval_finish)
+    return start
 
 
 class _DlsState:
-    """Bookkeeping of the list-scheduling main loop."""
+    """Bookkeeping of the list-scheduling main loop, by task id."""
 
     def __init__(
         self,
         schedule: Schedule,
-        mutex_overlap: bool,
+        compiled: CompiledCtg,
+        exclusions: Mapping[str, frozenset],
     ) -> None:
         self.schedule = schedule
-        self.mutex_overlap = mutex_overlap
-        #: worst-case (start, finish) of placed tasks at nominal speed
-        self.times: Dict[str, Tuple[float, float]] = {}
-        self.link_bookings: Dict[frozenset, _LinkBooking] = {}
-        #: tasks per PE in placement order (avoids the repeated
-        #: order-index sort of Schedule.tasks_on in the candidate loop)
-        self.pe_tasks: Dict[str, List[str]] = {}
+        self.platform = schedule.platform
+        self.tasks = compiled.tasks
+        self.in_edges = compiled.in_edges
+        #: per task id, the tasks it may overlap with (empty when
+        #: mutex_overlap is off)
+        self.exclusive = [exclusions.get(task, _NONE) for task in compiled.tasks]
+        #: PE and worst-case (start, finish) of placed tasks, nominal speed
+        self.pe_of: List[Optional[str]] = [None] * len(compiled.tasks)
+        self.times: List[Tuple[float, float]] = [(0.0, 0.0)] * len(compiled.tasks)
+        #: sorted busy intervals per PE and per link
+        self.pe_busy: Dict[str, List[_Interval]] = {}
+        self.link_busy: Dict[Tuple[str, str], List[_Interval]] = {}
+        #: task ids per PE in placement order
+        self.pe_tasks: Dict[str, List[int]] = {}
 
-    def are_exclusive(self, a: str, b: str) -> bool:
-        """Mutual exclusion, gated by the mutex_overlap switch."""
-        return self.mutex_overlap and self.schedule.are_exclusive(a, b)
-
-    # -- processor booking ------------------------------------------------
-    def earliest_pe_slot(self, task: str, pe: str, ready: float, duration: float) -> float:
+    def earliest_pe_slot(self, task: int, pe: str, ready: float, duration: float) -> float:
         """Earliest start ≥ ready with no overlap against non-exclusive
         tasks already on ``pe`` (mutually exclusive tasks may overlap)."""
-        busy = sorted(
-            (self.times[other][0], self.times[other][1])
-            for other in self.pe_tasks.get(pe, ())
-            if not self.are_exclusive(task, other)
-        )
-        start = ready
-        for interval_start, interval_finish in busy:
-            if start + duration <= interval_start + EXACT_EPS:
-                break
-            start = max(start, interval_finish)
-        return start
+        busy = self.pe_busy.get(pe)
+        if not busy:
+            return ready
+        return _earliest_slot(busy, self.exclusive[task], ready, duration)
 
-    # -- link booking ------------------------------------------------------
     def earliest_link_slot(
         self,
-        src_task: str,
-        src_pe: str,
-        dst_pe: str,
+        src: int,
+        link: Tuple[str, str],
         ready: float,
         duration: float,
-        pending: Tuple[Tuple[float, float, str], ...] = (),
+        pending: Sequence[_Interval],
     ) -> float:
-        """Earliest transfer start ≥ ready on the (src_pe, dst_pe) link.
+        """Earliest start ≥ ready of a transfer from task ``src`` on ``link``.
 
-        Transfers whose source tasks are mutually exclusive may overlap
-        (they can never both happen); everything else serialises on the
-        dedicated point-to-point link.  ``pending`` carries intervals
-        tentatively claimed on this link by the candidate under
-        evaluation but not yet committed — a task pulling several
-        inputs over one link must serialise them against each other,
-        not only against booked transfers.
+        Transfers whose source tasks are mutually exclusive may overlap;
+        everything else serialises on the dedicated point-to-point link.
+        ``pending`` carries intervals tentatively claimed on this link by
+        the candidate under evaluation but not yet committed — a task
+        pulling several inputs over one link must serialise them against
+        each other, not only against booked transfers.
         """
-        if duration <= 0.0:
-            return ready
-        key = frozenset((src_pe, dst_pe))
-        booking = self.link_bookings.get(key)
-        intervals = booking.intervals if booking is not None else []
-        if not intervals and not pending:
-            return ready
-        busy = sorted(
-            (s, f)
-            for s, f, other_src in [*intervals, *pending]
-            if not self.are_exclusive(src_task, other_src)
-        )
-        start = ready
-        for interval_start, interval_finish in busy:
-            if start + duration <= interval_start + EXACT_EPS:
-                break
-            start = max(start, interval_finish)
-        return start
-
-    def book_link(
-        self, src_task: str, dst_task: str, src_pe: str, dst_pe: str,
-        start: float, duration: float, kbytes: float,
-    ) -> None:
-        """Commit a transfer to the link and the schedule record."""
-        if duration <= 0.0:
-            return
-        key = frozenset((src_pe, dst_pe))
-        self.link_bookings.setdefault(key, _LinkBooking([])).intervals.append(
-            (start, start + duration, src_task)
-        )
-        self.schedule.book_comm(
-            CommBooking(
-                src_task=src_task,
-                dst_task=dst_task,
-                src_pe=src_pe,
-                dst_pe=dst_pe,
-                start=start,
-                duration=duration,
-                kbytes=kbytes,
-            )
-        )
-
-
-def _arrival_time(
-    state: _DlsState, ctg: ConditionalTaskGraph, platform: Platform, task: str, pe: str
-) -> Tuple[float, List[Tuple[str, float, float, float]]]:
-    """Data-ready time of ``task`` on ``pe`` plus the transfers it needs.
-
-    Returns ``(ready, transfers)`` where each transfer is
-    ``(src_task, start, duration, kbytes)`` — booked only if the
-    placement is committed.
-    """
-    ready = 0.0
-    transfers: List[Tuple[str, float, float, float]] = []
-    pending: Dict[frozenset, List[Tuple[float, float, str]]] = {}
-    for src, _dst, data in ctg.in_edges(task, include_pseudo=False):
-        src_pe = state.schedule.pe_of(src)
-        finish = state.times[src][1]
-        duration = platform.comm_time(src_pe, pe, data.comm_kbytes)
-        if duration > 0.0:
-            claimed = pending.setdefault(frozenset((src_pe, pe)), [])
-            start = state.earliest_link_slot(
-                src, src_pe, pe, finish, duration, pending=tuple(claimed)
-            )
-            claimed.append((start, start + duration, src))
-            transfers.append((src, start, duration, data.comm_kbytes))
-            ready = max(ready, start + duration)
+        booked = self.link_busy.get(link, ())
+        if pending:
+            busy: Sequence[_Interval] = sorted(chain(booked, pending))
+        elif booked:
+            busy = booked
         else:
-            ready = max(ready, finish)
-    return ready, transfers
+            return ready
+        return _earliest_slot(busy, self.exclusive[src], ready, duration)
+
+    def arrival_time(self, task: int, pe: str) -> Tuple[float, List[_Transfer]]:
+        """Data-ready time of ``task`` on ``pe`` plus the transfers it
+        needs — booked only if the placement is committed."""
+        ready = 0.0
+        transfers: List[_Transfer] = []
+        pending: Dict[Tuple[str, str], List[_Interval]] = {}
+        for src, kbytes in self.in_edges[task]:
+            src_pe = self.pe_of[src]
+            finish = self.times[src][1]
+            duration = self.platform.comm_time(src_pe, pe, kbytes)
+            if duration > 0.0:
+                link = _link(src_pe, pe)
+                claimed = pending.setdefault(link, [])
+                start = self.earliest_link_slot(src, link, finish, duration, claimed)
+                claimed.append((start, start + duration, self.tasks[src]))
+                transfers.append((src, start, duration, kbytes))
+                ready = max(ready, start + duration)
+            else:
+                ready = max(ready, finish)
+        return ready, transfers
+
+    def commit(self, task: int, pe: str, start: float, transfers: List[_Transfer]) -> float:
+        """Place ``task`` on ``pe`` at ``start`` and book its incoming
+        transfers; returns its finish time."""
+        name = self.tasks[task]
+        finish = start + self.schedule.place(name, pe).wcet
+        self.pe_of[task] = pe
+        self.times[task] = (start, finish)
+        insort(self.pe_busy.setdefault(pe, []), (start, finish, name))
+        for src, t_start, duration, kbytes in transfers:
+            src_pe = self.pe_of[src]
+            insort(
+                self.link_busy.setdefault(_link(src_pe, pe), []),
+                (t_start, t_start + duration, self.tasks[src]),
+            )
+            self.schedule.book_comm(
+                CommBooking(
+                    src_task=self.tasks[src],
+                    dst_task=name,
+                    src_pe=src_pe,
+                    dst_pe=pe,
+                    start=t_start,
+                    duration=duration,
+                    kbytes=kbytes,
+                )
+            )
+        return finish
 
 
 def dls_schedule(
@@ -245,10 +304,12 @@ def dls_schedule(
         Optional task→PE assignment.  When given, the list scheduler
         only *orders* tasks — each task's candidate PE set shrinks to
         its assigned PE (the setting of ref [10], which schedules on a
-        pre-given mapping).
+        pre-given mapping).  Every task must be assigned a PE of the
+        platform that supports it, else :class:`SchedulingError`.
     analysis:
-        Pre-computed structural analysis (scenarios/exclusions); saves
-        re-deriving it on every adaptive re-scheduling call.
+        Pre-computed structural analysis of ``ctg`` (scenarios,
+        exclusions and the compiled graph); saves re-deriving it on
+        every adaptive re-scheduling call.
     profiler:
         Optional :class:`~repro.profiling.StageProfiler`; records the
         ``dls.levels`` stage and the ``dls.tasks_placed`` counter.
@@ -265,89 +326,101 @@ def dls_schedule(
     if analysis is None:
         scenarios = enumerate_scenarios(working)
         exclusions = exclusion_table(working, scenarios)
+        compiled = CompiledCtg.of(working)
     else:
         exclusions = analysis.exclusions
+        compiled = analysis.compiled
     schedule = Schedule(working, platform, exclusions)
-    state = _DlsState(schedule, mutex_overlap)
     with prof.stage("dls.levels"):
-        levels = static_levels(ctg, platform, probabilities, probability_aware)
+        levels = _levels(compiled, platform, probabilities, probability_aware)
+    candidates = _candidates(compiled, platform, fixed_mapping)
+    state = _DlsState(schedule, compiled, exclusions if mutex_overlap else {})
 
-    unscheduled = set(ctg.tasks())
-    while unscheduled:
-        ready = [
-            task
-            for task in sorted(unscheduled)
-            if all(
-                pred in schedule.placements
-                for pred in working.predecessors(task, include_pseudo=False)
-            )
-        ]
-        if not ready:
-            raise SchedulingError("no ready task — graph is not a DAG?")
-        best: Optional[Tuple[float, float, str, str]] = None
-        best_transfers: List[Tuple[str, float, float, float]] = []
+    # Reachability over the working graph: the compiled real-edge rows,
+    # any pseudo edges the input already carries, then every pseudo
+    # edge added below.
+    reach = list(compiled.descendants)
+    if compiled.edge_count != working.graph.number_of_edges():
+        for src, dst, data in working.edges():
+            if data.pseudo:
+                _add_reach(reach, compiled.index[src], compiled.index[dst])
+
+    names = compiled.tasks
+    index = compiled.index
+    waiting = [len(edges) for edges in compiled.in_edges]
+    ready = sorted(names[i] for i, count in enumerate(waiting) if count == 0)
+    while ready:
+        best_key: Optional[Tuple[float, float, str, str]] = None
         best_start = 0.0
-        for task in sorted(ready):
-            avg = platform.average_wcet(task)
-            for pe in platform.pe_names:
-                if not platform.supports(task, pe):
-                    continue
-                if fixed_mapping is not None and fixed_mapping[task] != pe:
-                    continue
-                wcet = platform.wcet(task, pe)
-                ready_at, transfers = _arrival_time(state, working, platform, task, pe)
+        best_transfers: List[_Transfer] = []
+        for name in ready:
+            task = index[name]
+            level = levels[task]
+            for pe, wcet, delta in candidates[task]:
+                ready_at, transfers = state.arrival_time(task, pe)
                 start = state.earliest_pe_slot(task, pe, ready_at, wcet)
-                delta = avg - wcet
-                dl = levels[task] - start + delta
+                dl = level - start + delta
                 # Maximise DL; break ties on earlier start then names for
                 # determinism.
-                key = (dl, -start, task, pe)
-                if best is None or key > (best[0], -best_start, best[2], best[3]):
-                    best = (dl, start, task, pe)
+                key = (dl, -start, name, pe)
+                if best_key is None or key > best_key:
+                    best_key = key
                     best_start = start
                     best_transfers = transfers
-        assert best is not None
-        _dl, start, task, pe = best
-        _commit(state, working, platform, task, pe, start, best_transfers)
-        unscheduled.discard(task)
+        assert best_key is not None
+        _dl, _neg_start, name, pe = best_key
+        task = index[name]
+        _serialise(state, working, reach, task, pe, best_start, best_transfers)
+        ready.remove(name)
+        for succ in compiled.successors[task]:
+            waiting[succ] -= 1
+            if waiting[succ] == 0:
+                insort(ready, names[succ])
     prof.count("dls.tasks_placed", len(schedule.placements))
     return schedule
 
 
-def _commit(
+def _add_reach(reach: List[int], src: int, dst: int) -> None:
+    """Record edge ``src → dst``: ``src`` and every task reaching it now
+    also reach ``dst`` and everything ``dst`` reaches."""
+    gained = reach[dst] | (1 << dst)
+    for node, row in enumerate(reach):
+        if node == src or row >> src & 1:
+            reach[node] = row | gained
+
+
+def _serialise(
     state: _DlsState,
     working: ConditionalTaskGraph,
-    platform: Platform,
-    task: str,
+    reach: List[int],
+    task: int,
     pe: str,
     start: float,
-    transfers: List[Tuple[str, float, float, float]],
+    transfers: List[_Transfer],
 ) -> None:
-    """Place ``task`` on ``pe`` at ``start``: record placement, book its
-    incoming transfers and serialise it against same-PE neighbours."""
-    schedule = state.schedule
-    placement = schedule.place(task, pe)
-    finish = start + placement.wcet
-    state.times[task] = (start, finish)
-    for src, t_start, duration, kbytes in transfers:
-        state.book_link(src, task, schedule.pe_of(src), pe, t_start, duration, kbytes)
+    """Commit ``task`` on ``pe`` at ``start`` and serialise it against
+    its same-PE neighbours with pseudo edges."""
+    finish = state.commit(task, pe, start, transfers)
     # Pseudo edges: order `task` against every non-exclusive task already
     # on the PE.  Redundant edges (already reachable) are skipped to keep
     # the path set small.
-    graph = working.graph
+    names = state.tasks
+    exclusive = state.exclusive[task]
     peers = state.pe_tasks.setdefault(pe, [])
     for other in peers:
-        if other == task or state.are_exclusive(task, other):
+        if names[other] in exclusive:
             continue
         o_start, o_finish = state.times[other]
         if o_finish <= start + EXACT_EPS:
-            if not nx.has_path(graph, other, task):
-                working.add_pseudo_edge(other, task)
+            if not reach[other] >> task & 1:
+                working.add_pseudo_edge(names[other], names[task])
+                _add_reach(reach, other, task)
         elif finish <= o_start + EXACT_EPS:
-            if not nx.has_path(graph, task, other):
-                working.add_pseudo_edge(task, other)
+            if not reach[task] >> other & 1:
+                working.add_pseudo_edge(names[task], names[other])
+                _add_reach(reach, task, other)
         else:  # pragma: no cover - earliest_pe_slot prevents overlap
             raise SchedulingError(
-                f"internal: overlap between {task!r} and {other!r} on {pe!r}"
+                f"internal: overlap between {names[task]!r} and {names[other]!r} on {pe!r}"
             )
     peers.append(task)

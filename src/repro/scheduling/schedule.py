@@ -18,6 +18,7 @@ pseudo edges, so the propagation is safe under any later speed change.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
@@ -132,9 +133,9 @@ class Schedule:
         return placement
 
     def book_comm(self, booking: CommBooking) -> None:
-        """Record a link transfer (bookings are kept sorted by start)."""
-        self.comm_bookings.append(booking)
-        self.comm_bookings.sort(key=lambda b: b.start)
+        """Record a link transfer (bookings are kept sorted by start;
+        equal starts stay in booking order)."""
+        insort(self.comm_bookings, booking, key=lambda b: b.start)
 
     def set_speed(self, task: str, speed: float) -> None:
         """Set the DVFS speed of a task (clamped by its PE's envelope)."""

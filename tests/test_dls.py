@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from repro.ctg import GeneratorConfig, figure1_ctg, generate_ctg
 from repro.ctg.examples import diamond_ctg, two_sided_branch_ctg
 from repro.platform import Platform, PlatformConfig, ProcessingElement, generate_platform
-from repro.scheduling import dls_schedule, static_levels
+from repro.scheduling import SchedulingError, dls_schedule, static_levels
 from repro.scheduling.baselines import load_balanced_mapping
+from repro.workloads.mpeg import mpeg_ctg, mpeg_platform
 
 
 def uniform_platform(ctg, pes=2, wcet=10.0, energy=10.0, bandwidth=1.0):
@@ -139,6 +140,33 @@ class TestFixedMapping:
         mapping = load_balanced_mapping(ctg, platform)
         sched = dls_schedule(ctg, platform, fixed_mapping=mapping)
         assert {t: sched.pe_of(t) for t in ctg.tasks()} == mapping
+
+    def test_missing_task_rejected(self):
+        ctg, platform = mpeg_ctg(), mpeg_platform()
+        mapping = {task: platform.pe_names[0] for task in ctg.tasks()}
+        del mapping["parse"]
+        with pytest.raises(SchedulingError, match="no PE for task 'parse'"):
+            dls_schedule(ctg, platform, fixed_mapping=mapping)
+
+    def test_unknown_pe_rejected(self):
+        ctg, platform = mpeg_ctg(), mpeg_platform()
+        mapping = {task: "nope" for task in ctg.tasks()}
+        with pytest.raises(SchedulingError, match="task 'parse' on unknown PE 'nope'"):
+            dls_schedule(ctg, platform, fixed_mapping=mapping)
+
+    def test_unsupported_pe_rejected(self):
+        ctg = diamond_ctg()
+        platform = Platform([ProcessingElement("pe0"), ProcessingElement("pe1")])
+        platform.connect_all(bandwidth=1.0, energy_per_kbyte=0.1)
+        for task in ctg.tasks():
+            platform.set_task_profile(task, "pe0", wcet=10.0, energy=10.0)
+            if task != "join":
+                platform.set_task_profile(task, "pe1", wcet=10.0, energy=10.0)
+        mapping = {task: "pe1" for task in ctg.tasks()}
+        with pytest.raises(
+            SchedulingError, match="task 'join' on PE 'pe1', which does not support it"
+        ):
+            dls_schedule(ctg, platform, fixed_mapping=mapping)
 
     def test_load_balanced_mapping_spreads_load(self):
         ctg = generate_ctg(GeneratorConfig(nodes=24, branch_nodes=0, category=2, seed=3))

@@ -222,6 +222,17 @@ class TestCommBooking:
         sched.book_comm(early)
         assert [b.start for b in sched.comm_bookings] == [1.0, 5.0]
 
+    def test_equal_starts_keep_booking_order(self):
+        sched = make_schedule()
+        starts = [3.0, 1.0, 3.0, 2.0, 1.0, 3.0]
+        bookings = [
+            CommBooking(f"s{i}", f"d{i}", "pe0", "pe1", start=s, duration=1.0, kbytes=1.0)
+            for i, s in enumerate(starts)
+        ]
+        for booking in bookings:
+            sched.book_comm(booking)
+        assert sched.comm_bookings == sorted(bookings, key=lambda b: b.start)
+
     def test_finish_property(self):
         booking = CommBooking("a", "b", "pe0", "pe1", start=2.0, duration=3.0, kbytes=1.0)
         assert booking.finish == 5.0
