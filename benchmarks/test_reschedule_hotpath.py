@@ -1,4 +1,4 @@
-"""Bench: the re-scheduling hot path — cached+vectorized vs scalar seed.
+"""Bench: the re-scheduling hot path — cached+vectorized vs scalar reference.
 
 The adaptive controller's entire value proposition rests on cheap
 re-invocation of ``schedule_online`` (the paper's 0.6 ms argument for
@@ -15,11 +15,11 @@ sequence runs through both arms:
 * **fast arm** — the defaults: shared ``CtgAnalysis`` whose
   ``path_cache`` carries the path analytics across calls, vectorized
   slack kernels;
-* **seed arm** — ``vectorized=False, use_cache=False``: the original
-  scalar per-path loop re-deriving everything on every call (the seed
-  behaviour of the stretching stage; DLS and path-enumeration
-  improvements are shared by both arms, making the comparison
-  conservative).
+* **seed arm** — DLS plus the scalar reference stretcher
+  (``tests/oracles/stretch_reference.py``): the original per-path loop
+  re-deriving everything on every call (the seed behaviour of the
+  stretching stage; DLS and path-enumeration improvements are shared
+  by both arms, making the comparison conservative).
 
 MPEG's DLS flips the mapping when some branches drift (the equivalence
 tests cover that path — the cache then misses and rebuilds), so the
@@ -48,6 +48,7 @@ from repro.sim.runner import run_adaptive
 from repro.workloads.cruise import cruise_ctg, cruise_platform
 from repro.workloads.mpeg import mpeg_ctg, mpeg_platform
 from repro.workloads.traces import drifting_trace
+from tests.oracles import stretch_reference
 
 #: drift magnitude of the regime pair — the controller's re-scheduling
 #: threshold, i.e. the smallest drift that triggers a call
@@ -105,10 +106,10 @@ def _regime_snapshots(ctg, platform, analysis, cycles):
     return [up, down] * cycles, stable
 
 
-def _replay(ctg, platform, analysis, snapshots, **kwargs):
+def _replay(online, ctg, platform, analysis, snapshots, **kwargs):
     start = time.perf_counter()
     results = [
-        schedule_online(ctg, platform, probs, analysis=analysis, **kwargs)
+        online(ctg, platform, probs, analysis=analysis, **kwargs)
         for probs in snapshots
     ]
     return time.perf_counter() - start, results
@@ -124,7 +125,7 @@ def run_hotpath_bench(cycles: int = HOTPATH_CYCLES):
 
     seed_analysis = CtgAnalysis.of(ctg)
     seed_time, seed_results = _replay(
-        ctg, platform, seed_analysis, snapshots, vectorized=False, use_cache=False
+        stretch_reference.schedule_online, ctg, platform, seed_analysis, snapshots
     )
 
     fast_analysis = CtgAnalysis.of(ctg)
@@ -138,7 +139,7 @@ def run_hotpath_bench(cycles: int = HOTPATH_CYCLES):
         ctg, platform, ctg.default_probabilities, analysis=fast_analysis, profiler=prof
     )
     fast_time, fast_results = _replay(
-        ctg, platform, fast_analysis, snapshots, profiler=prof
+        schedule_online, ctg, platform, fast_analysis, snapshots, profiler=prof
     )
 
     for seed_res, fast_res in zip(seed_results, fast_results):

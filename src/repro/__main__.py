@@ -95,7 +95,7 @@ from typing import Callable, Dict
 
 from . import experiments
 from .experiments import ExperimentSpec
-from .io import load_instance
+from .io import InstanceFormatError, load_instance
 from .scheduling import (
     SPEED_POLICIES,
     render_gantt,
@@ -596,7 +596,11 @@ def _cmd_worker(_args: argparse.Namespace) -> int:
 def _cmd_schedule(args: argparse.Namespace) -> int:
     from .profiling import StageProfiler
 
-    ctg, platform, _trace = load_instance(args.instance)
+    try:
+        ctg, platform, _trace = load_instance(args.instance)
+    except InstanceFormatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if ctg.deadline <= 0:
         set_deadline_from_makespan(ctg, platform, args.deadline_factor)
     profiler = StageProfiler() if args.profile else None
@@ -749,8 +753,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     trace = drifting_trace(ctg, args.length, seed=args.seed)
     probabilities = empirical_distribution(ctg, trace[: args.train])
     tracer = Tracer()
-    # None = the historical continuous path, byte-for-byte
-    speed_policy = None if args.policy == "continuous" else args.policy
     if args.plan == "none":
         result = run_adaptive(
             ctg,
@@ -758,7 +760,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             trace[args.train :],
             probabilities,
             tracer=tracer,
-            speed_policy=speed_policy,
+            speed_policy=args.policy,
         )
     else:
         catalogue = fault_plan_catalogue()
@@ -773,7 +775,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             probabilities,
             catalogue[args.plan],
             tracer=tracer,
-            speed_policy=speed_policy,
+            speed_policy=args.policy,
         )
 
     out = Path(args.out) if args.out else Path(f"{name}.trace.json")

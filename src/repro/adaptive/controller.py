@@ -110,8 +110,8 @@ class AdaptiveController:
     speed_policy:
         A :class:`~repro.scheduling.policies.SpeedPolicy` (or registry
         name) selecting the speed-selection family for every schedule
-        the controller builds; ``None`` keeps the paper's continuous
-        stretching byte-for-byte.  The prestretch cache is keyed per
+        the controller builds; ``None`` resolves to the paper's
+        continuous stretching.  The prestretch cache is keyed per
         policy and only consulted when the policy supports it.
     """
 

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats as _scipy_stats
-
 
 @dataclass(frozen=True)
 class SampleSummary:
@@ -41,6 +39,10 @@ def summarize_samples(
     samples: Sequence[float], confidence: float = 0.95
 ) -> SampleSummary:
     """Mean, sample std and Student-t confidence interval."""
+    # local import: loading scipy.stats would dominate the start-up of
+    # every CLI call and fleet worker, and only this function needs it
+    from scipy import stats as scipy_stats
+
     n = len(samples)
     if n < 2:
         raise ValueError("need at least two samples")
@@ -49,7 +51,7 @@ def summarize_samples(
     mean = sum(samples) / n
     variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
     std = math.sqrt(variance)
-    half_width = _scipy_stats.t.ppf((1 + confidence) / 2, df=n - 1) * std / math.sqrt(n)
+    half_width = scipy_stats.t.ppf((1 + confidence) / 2, df=n - 1) * std / math.sqrt(n)
     return SampleSummary(
         count=n,
         mean=mean,

@@ -1,7 +1,7 @@
 """Batched numpy kernels over a :class:`~repro.batch.soa.BatchSchedule`.
 
-Three kernels, each the array twin of a named scalar reference that
-stays in the tree as the executable specification:
+Three kernels, each the array twin of a named object-layer routine
+that serves as its oracle:
 
 * :func:`scenario_finish_times` /  :func:`instance_finish_times` —
   the replay loop of :meth:`InstanceExecutor.run
@@ -10,13 +10,13 @@ stays in the tree as the executable specification:
 * :func:`instance_energies` — the energy bookkeeping of the executor
   (including the ``wcet_factors`` baseline arm of ``run_faulted``:
   energy scales linearly with the realised work ratio);
-* :func:`batched_stretch` — the PR-1 vectorized stretching kernels
+* :func:`batched_stretch` — the single-schedule stretching kernels
   (``_stretch_vectorized`` in :mod:`repro.scheduling.stretching`)
   extended from one schedule instance to ``N`` probability
   distributions along a leading axis.
 
-``batched_stretch`` replaces the scalar reference's per-task *claimant
-sweep* (stable sort + ``argmax``/``bincount``) with an equivalent
+``batched_stretch`` replaces the single-schedule kernel's per-task
+*claimant sweep* (stable sort + ``argmax``/``bincount``) with an equivalent
 per-scenario reduction: for every minterm ``s`` covered by a task's
 uncertain spanning paths, the claimant construction assigns ``s``'s
 probability to the *smallest* uncertain ratio among the paths that can
@@ -307,8 +307,8 @@ def batched_stretch(
     :func:`~repro.scheduling.policies.quantize_speed`.
 
     Zero-probability path pruning is intentionally unsupported here
-    (it would give every instance a different spanning set); use the
-    scalar reference for that mode.
+    (it would give every instance a different spanning set); use
+    :func:`~repro.scheduling.stretching.stretch_schedule` for that mode.
     """
     if structure.path_count == 0:
         raise SchedulingError(_NO_PATHS)

@@ -164,7 +164,8 @@ def monte_carlo(
         quantises and refines the captured speeds), so the sweep itself
         stays one kernel call regardless of policy.  Ignored when
         ``schedule``/``batch`` is supplied (those carry their speeds
-        already); ``None`` keeps the paper's continuous stretching.
+        already); ``None`` resolves to the paper's continuous
+        stretching.
     use_execution_profiles:
         Sample per-(instance, task) work ratios from the platform's
         per-task execution-time distributions (tasks without a profile

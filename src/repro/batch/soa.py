@@ -21,10 +21,9 @@ schedule as flat arrays, not as objects.
 * the **scenario (minterm) tables** — per-scenario task activation,
   branch assignments, per-edge applicability, communication energy —
   and the same membership **packed into int bitmasks** per task
-  (``task_scenario_masks``), the flat twin of the scalar reference's
-  ``_PathState.scenario_mask`` (for paths, see
+  (``task_scenario_masks``), the per-task twin of the per-path masks of
   :meth:`PathStructure.membership_masks
-  <repro.scheduling.pathcache.PathStructure.membership_masks>`);
+  <repro.scheduling.pathcache.PathStructure.membership_masks>`;
 * the **or-node decider table** (CSR) for the paper's Example-1 rule:
   an or-join waits for every active upstream fork that could decide
   one of its inputs.

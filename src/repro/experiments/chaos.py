@@ -226,7 +226,7 @@ def chaos_cell(params: Dict[str, Any]) -> Dict[str, Any]:
     trace = drifting_trace(ctg, length, seed=params["trace_seed"])
     train = params["train"]
     probabilities = empirical_distribution(ctg, trace[:train])
-    # absent key = the historical continuous path, byte-for-byte
+    # absent key = the continuous policy
     result = run_faulted(
         ctg,
         platform,

@@ -189,23 +189,65 @@ def save_instance(
     Path(path).write_text(json.dumps(bundle, indent=2, sort_keys=True))
 
 
+class InstanceFormatError(ValueError):
+    """A file that cannot be read as a problem instance.
+
+    The message names the file and what is wrong with it (the missing
+    or malformed key, or the underlying read/parse error).
+    """
+
+    def __init__(self, path: Union[str, Path], reason: str) -> None:
+        super().__init__(f"cannot load instance {path}: {reason}")
+        self.path = str(path)
+        self.reason = reason
+
+
 def load_instance(
     path: Union[str, Path],
 ) -> tuple:
     """Read a problem instance; returns ``(ctg, platform, trace_or_None)``.
 
     The platform is checked against the graph's task set and a shipped
-    trace against the graph's branch structure.
+    trace against the graph's branch structure.  Any failure — an
+    unreadable file, invalid JSON, a missing or malformed key, an
+    inconsistent graph/platform/trace — raises
+    :class:`InstanceFormatError`.
     """
-    bundle = json.loads(Path(path).read_text())
-    _check_version(bundle)
-    ctg = ctg_from_dict(bundle["ctg"])
-    platform = platform_from_dict(bundle["platform"])
-    platform.validate_for(ctg.tasks())
-    trace = bundle.get("trace")
-    if trace is not None:
-        validate_trace(ctg, trace)
+    try:
+        bundle = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise InstanceFormatError(path, str(exc)) from exc
+    if not isinstance(bundle, dict):
+        raise InstanceFormatError(
+            path, f"expected a JSON object, found {type(bundle).__name__}"
+        )
+    try:
+        _check_version(bundle)
+        ctg = _load_section(path, bundle, "ctg", ctg_from_dict)
+        platform = _load_section(path, bundle, "platform", platform_from_dict)
+        platform.validate_for(ctg.tasks())
+        trace = bundle.get("trace")
+        if trace is not None:
+            validate_trace(ctg, trace)
+    except InstanceFormatError:
+        raise
+    except ValueError as exc:  # CTGError, PlatformError, trace mismatches
+        raise InstanceFormatError(path, str(exc)) from exc
     return ctg, platform, trace
+
+
+def _load_section(path: Union[str, Path], bundle: Dict[str, Any], key: str, parse):
+    """``parse(bundle[key])``, with shape errors named after ``key``."""
+    if key not in bundle:
+        raise InstanceFormatError(path, f"missing key {key!r}")
+    try:
+        return parse(bundle[key])
+    except KeyError as exc:
+        raise InstanceFormatError(
+            path, f"missing key {exc.args[0]!r} in {key!r}"
+        ) from exc
+    except (TypeError, AttributeError) as exc:
+        raise InstanceFormatError(path, f"malformed {key!r}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-from scipy import optimize
 
 from ..check.tolerances import TIME_EPS
 from ..ctg.minterms import BranchProbabilities, activation_probability
@@ -68,6 +67,10 @@ def nlp_stretch_schedule(
         If the nominal schedule already misses the deadline, or the
         solver fails to return a feasible point.
     """
+    # local import: scipy.optimize is heavy to load and only the NLP
+    # baseline needs it, not every importer of repro.scheduling
+    from scipy import optimize
+
     ctg = schedule.ctg
     limit = ctg.deadline if deadline is None else deadline
     if limit <= 0:

@@ -19,9 +19,7 @@ counters).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-from typing import Union
+from typing import Optional, Union
 
 from ..ctg.graph import ConditionalTaskGraph
 from ..ctg.minterms import BranchProbabilities, CtgAnalysis
@@ -55,8 +53,6 @@ def schedule_online(
     analysis: Optional[CtgAnalysis] = None,
     max_passes: int = 1,
     share_exponent: float = 1.0,
-    vectorized: bool = True,
-    use_cache: bool = True,
     profiler: Optional[StageProfiler] = None,
     check: bool = False,
     speed_policy: Union[None, str, SpeedPolicy] = None,
@@ -86,11 +82,6 @@ def schedule_online(
     max_passes, share_exponent:
         Forwarded to :func:`repro.scheduling.stretch_schedule` (the
         ablation knobs of the slack-distribution stage).
-    vectorized, use_cache:
-        Forwarded to :func:`repro.scheduling.stretch_schedule`; the
-        defaults give the fast hot path, ``vectorized=False,
-        use_cache=False`` reproduces the scalar seed behaviour (used by
-        the equivalence tests and the hot-path bench as the baseline).
     profiler:
         Optional stage profiler; timings/counters accumulate into it
         and it is attached to the result as ``profile``.
@@ -103,9 +94,9 @@ def schedule_online(
         would dominate the re-scheduling hot path.
     speed_policy:
         A :class:`~repro.scheduling.policies.SpeedPolicy` (or its
-        registry name) selecting the speed-selection family.  ``None``
-        or ``"continuous"`` reproduces the paper's stretching
-        byte-for-byte; ``"discrete"`` quantises onto frequency tables,
+        registry name) selecting the speed-selection family; the
+        default ``"continuous"`` is the paper's stretching,
+        ``"discrete"`` quantises onto frequency tables,
         ``"preemptive"`` adds run-time slack reclamation (in the
         executor), ``"eaps"`` searches (frequency, cores)
         configurations and builds its own mapping.
@@ -146,8 +137,6 @@ def schedule_online(
                 analysis=analysis,
                 max_passes=max_passes,
                 share_exponent=share_exponent,
-                vectorized=vectorized,
-                use_cache=use_cache,
                 profiler=profiler,
             )
     if check:

@@ -147,8 +147,6 @@ class SpeedPolicy:
         analysis,
         max_passes: int,
         share_exponent: float,
-        vectorized: bool,
-        use_cache: bool,
         profiler: Optional[StageProfiler],
     ) -> StretchReport:
         """Select per-task speeds on an already-mapped schedule."""
@@ -210,8 +208,6 @@ class ContinuousSpeedPolicy(SpeedPolicy):
             analysis=kwargs["analysis"],
             max_passes=kwargs["max_passes"],
             share_exponent=kwargs["share_exponent"],
-            vectorized=kwargs["vectorized"],
-            use_cache=kwargs["use_cache"],
             profiler=kwargs["profiler"],
         )
 

@@ -33,7 +33,7 @@ from ..faults.injectors import InstanceFaults
 from ..faults.policy import DegradationPolicy
 from ..obs.trace import Tracer, as_tracer
 from ..profiling import StageProfiler, as_profiler
-from ..scheduling.policies import SpeedPolicy
+from ..scheduling.policies import CONTINUOUS_POLICY, SpeedPolicy
 from ..scheduling.schedule import Schedule
 from .vectors import DecisionVector, scenario_from_decisions
 
@@ -97,6 +97,9 @@ class InstanceExecutor:
     per-instance timeline the Perfetto export renders; with the default
     :data:`~repro.obs.trace.NULL_TRACER` the replay loop skips span
     construction entirely (``enabled`` is checked once per instance).
+    ``speed_policy`` (default: the paper's continuous policy) sets the
+    escalation ceiling of faulted replays and, for slack-reclaiming
+    policies, the run-time speed plan of every task.
     """
 
     def __init__(
@@ -104,7 +107,7 @@ class InstanceExecutor:
         schedule: Schedule,
         profiler: Optional[StageProfiler] = None,
         tracer: Optional[Tracer] = None,
-        speed_policy: Optional[SpeedPolicy] = None,
+        speed_policy: SpeedPolicy = CONTINUOUS_POLICY,
     ) -> None:
         self.schedule = schedule
         self._prof = as_profiler(profiler)
@@ -123,15 +126,11 @@ class InstanceExecutor:
         self._worst_case: Optional[Dict[str, Tuple[float, float]]] = None
 
     def _escalation_speed(self, pe_name: str) -> float:
-        """Escalation ceiling of a PE: the policy's (or the PE's) top level."""
+        """Escalation ceiling of a PE: the policy's top level."""
         try:
             return self._esc_speeds[pe_name]
         except KeyError:
-            pe = self.schedule.platform.pe(pe_name)
-            if self._policy is not None:
-                speed = self._policy.escalation_speed(pe)
-            else:
-                speed = pe.max_speed()
+            speed = self._policy.escalation_speed(self.schedule.platform.pe(pe_name))
             self._esc_speeds[pe_name] = speed
             return speed
 
@@ -150,9 +149,7 @@ class InstanceExecutor:
         converted into voltage reduction.  Omitted (the default), the
         replay is the historical WCET replay, bit-identical.
         """
-        dynamic = work_ratios is not None or (
-            self._policy is not None and self._policy.reclaims_slack
-        )
+        dynamic = work_ratios is not None or self._policy.reclaims_slack
         with self._prof.stage("executor.replay"):
             if dynamic:
                 result = self._run_dynamic(decisions, work_ratios or {})
@@ -273,7 +270,7 @@ class InstanceExecutor:
         platform = schedule.platform
         exponent = platform.dvfs.exponent
         policy = self._policy
-        reclaiming = policy is not None and policy.reclaims_slack
+        reclaiming = policy.reclaims_slack
         if reclaiming and self._worst_case is None:
             self._worst_case = schedule.worst_case_times()
         scenario = scenario_from_decisions(self._real_ctg, decisions)
@@ -388,8 +385,7 @@ class InstanceExecutor:
         transfer delays.  Escalation can only *raise* speeds, so the
         policy arm never finishes later than the baseline arm.
         """
-        if policy is None:
-            policy = DegradationPolicy.none()
+        policy = policy or DegradationPolicy.none()
         if not faults.perturbs_timing:
             # only control-plane faults (drops/corruption): timing and
             # energy are exactly the nominal replay, both arms alike

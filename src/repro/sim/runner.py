@@ -34,16 +34,6 @@ from .executor import InstanceExecutor
 from .vectors import Trace
 
 
-def _resolve_policy_arg(
-    speed_policy: Union[None, str, SpeedPolicy]
-) -> Optional[SpeedPolicy]:
-    """``None`` stays ``None`` (the pristine historical path); anything
-    else resolves through the policy registry."""
-    if speed_policy is None:
-        return None
-    return resolve_speed_policy(speed_policy)
-
-
 class _ExecutionTimeSampler:
     """Per-instance execution-time ratio sampler.
 
@@ -163,8 +153,8 @@ def run_non_adaptive(
     :func:`run_adaptive`).  ``tracer`` (optional) records the span/event
     timeline of the run (see :mod:`repro.obs.trace`); ``profile``
     contents are identical with or without it.  ``speed_policy`` selects
-    the speed-selection family (``None`` keeps the paper's continuous
-    stretching byte-for-byte); ``et_seed`` activates stochastic
+    the speed-selection family (``None`` resolves to the paper's
+    continuous stretching); ``et_seed`` activates stochastic
     execution times when the platform carries per-task distributions —
     each instance then replays sampled WCET ratios through the
     executor's dynamic path.
@@ -174,7 +164,7 @@ def run_non_adaptive(
         ctg.deadline = deadline
     trc = as_tracer(tracer)
     stats = _run_profiler(trc)
-    pol = _resolve_policy_arg(speed_policy)
+    pol = resolve_speed_policy(speed_policy)
     sampler = (
         _ExecutionTimeSampler(platform, et_seed) if et_seed is not None else None
     )
@@ -231,7 +221,7 @@ def run_adaptive(
         ctg.deadline = deadline
     trc = as_tracer(tracer)
     stats = _run_profiler(trc)
-    pol = _resolve_policy_arg(speed_policy)
+    pol = resolve_speed_policy(speed_policy)
     sampler = (
         _ExecutionTimeSampler(platform, et_seed) if et_seed is not None else None
     )
@@ -331,14 +321,13 @@ def run_faulted(
     the simulated timeline (``sim.fault`` / ``sim.escalation`` /
     ``sim.recovered`` / ``sim.unrecovered`` / ``sim.reschedule``).
     """
-    if policy is None:
-        policy = DegradationPolicy.default()
+    policy = policy or DegradationPolicy.default()
     if deadline is not None:
         ctg = ctg.copy()
         ctg.deadline = deadline
     trc = as_tracer(tracer)
     stats = _run_profiler(trc)
-    pol = _resolve_policy_arg(speed_policy)
+    pol = resolve_speed_policy(speed_policy)
     controller = AdaptiveController(
         ctg,
         platform,

@@ -21,7 +21,13 @@ from repro.scheduling import SchedulingError, dls_schedule, stretch_schedule
 from repro.sim.runner import run_adaptive
 from repro.workloads.traces import drifting_trace
 
+from .oracles import stretch_reference
 from .test_stretching_edge_cases import uniform_platform
+
+
+def _stretcher(runtime):
+    """The runtime stretcher (``True``) or its scalar reference (``False``)."""
+    return stretch_schedule if runtime else stretch_reference.stretch_schedule
 
 
 class TestSharedConfigDefault:
@@ -103,8 +109,8 @@ class TestAllPathsPrunedFallback:
         sched.ctg.deadline = 60.0
         return sched
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_degenerate_probabilities_fall_back_to_unpruned(self, vectorized):
+    @pytest.mark.parametrize("runtime", [True, False])
+    def test_degenerate_probabilities_fall_back_to_unpruned(self, runtime):
         # Every scenario has probability 0 under this (inconsistent)
         # distribution, so pruning would discard every path; the fixed
         # behaviour stretches over the full path set instead of raising
@@ -112,28 +118,21 @@ class TestAllPathsPrunedFallback:
         dead = {"fork": {"h": 0.0, "l": 0.0}}
         sched = self._schedule()
         prof = StageProfiler()
-        report = stretch_schedule(
-            sched,
-            dead,
-            prune_zero_probability=True,
-            vectorized=vectorized,
-            profiler=prof,
+        report = _stretcher(runtime)(
+            sched, dead, prune_zero_probability=True, profiler=prof
         )
         assert report.path_count > 0
         assert prof.counter("stretch.prune_fallback") == 1
         assert sched.meets_deadline()
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_fallback_matches_unpruned_result(self, vectorized):
+    @pytest.mark.parametrize("runtime", [True, False])
+    def test_fallback_matches_unpruned_result(self, runtime):
         dead = {"fork": {"h": 0.0, "l": 0.0}}
+        stretch = _stretcher(runtime)
         pruned = self._schedule()
-        stretch_schedule(
-            pruned, dead, prune_zero_probability=True, vectorized=vectorized
-        )
+        stretch(pruned, dead, prune_zero_probability=True)
         plain = self._schedule()
-        stretch_schedule(
-            plain, dead, prune_zero_probability=False, vectorized=vectorized
-        )
+        stretch(plain, dead, prune_zero_probability=False)
         for task in plain.placements:
             assert pruned.placement(task).speed == pytest.approx(
                 plain.placement(task).speed

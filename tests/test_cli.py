@@ -1,6 +1,8 @@
 """Tests for the command-line interface (python -m repro)."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -149,3 +151,32 @@ class TestCheckVerb:
         save_instance(path, ctg, platform)
         assert main(["schedule", str(path), "--check"]) == 0
         assert "expected energy" in capsys.readouterr().out
+
+
+#: malformed instance files: (id, file contents or None for a missing file)
+MALFORMED_INSTANCES = [
+    ("missing-file", None),
+    ("truncated-json", '{"version": 1, "ctg": {"tasks": ['),
+    ("empty-object", "{}"),
+    ("top-level-list", "[1, 2]"),
+    ("tasks-not-a-list", '{"ctg": {"tasks": 5}, "platform": {"pes": []}}'),
+]
+
+
+@pytest.mark.parametrize("verb", ["schedule", "check"])
+@pytest.mark.parametrize(
+    "contents", [c for _, c in MALFORMED_INSTANCES], ids=[i for i, _ in MALFORMED_INSTANCES]
+)
+def test_malformed_instance_reports_without_traceback(tmp_path, verb, contents):
+    path = tmp_path / "instance.json"
+    if contents is not None:
+        path.write_text(contents)
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", verb, str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode != 0
+    assert "Traceback" not in result.stderr, result.stderr
+    assert f"cannot load instance {path}" in result.stderr

@@ -21,8 +21,17 @@ SUBPACKAGES = [
     "repro.experiments",
     "repro.io",
     "repro.viz",
+    "repro.batch",
+    "repro.obs",
+    "repro.check",
+    "repro.faults",
+    "repro.experiments.workers",
     "repro.__main__",
 ]
+
+#: heavy scipy submodules only the NLP baseline and report statistics
+#: need — a CLI call or fleet worker must not pay for them at start-up
+LAZY_MODULES = ["scipy.stats", "scipy.optimize"]
 
 
 @pytest.mark.parametrize("module", SUBPACKAGES)
@@ -34,3 +43,15 @@ def test_subpackage_imports_standalone(module):
         timeout=60,
     )
     assert result.returncode == 0, f"import {module} failed:\n{result.stderr}"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    probe = (
+        "import sys, repro.__main__; "
+        f"print(sorted(m for m in {LAZY_MODULES!r} if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]", f"loaded at import: {result.stdout}"
