@@ -5,15 +5,14 @@
 * discrete DVFS level quantisation penalty.
 """
 
-from repro.experiments import (
-    run_discrete_dvfs,
-    run_overhead_breakeven,
-    run_predictor_comparison,
-)
+from repro.experiments import EXPERIMENTS, run_spec
 
 
 def test_extension_predictors(benchmark, archive):
-    result = benchmark.pedantic(run_predictor_comparison, rounds=1, iterations=1)
+    spec = EXPERIMENTS["ext-predictors"](False)
+    result = benchmark.pedantic(
+        run_spec, args=(spec,), kwargs={"jobs": 1}, rounds=1, iterations=1
+    ).result
     archive("extension_predictors", result.format())
 
     for row in result.rows:
@@ -26,7 +25,10 @@ def test_extension_predictors(benchmark, archive):
 
 
 def test_extension_overhead_breakeven(benchmark, archive):
-    result = benchmark.pedantic(run_overhead_breakeven, rounds=1, iterations=1)
+    spec = EXPERIMENTS["ext-overhead"](False)
+    result = benchmark.pedantic(
+        run_spec, args=(spec,), kwargs={"jobs": 1}, rounds=1, iterations=1
+    ).result
     archive("extension_overhead", result.format())
 
     # tighter thresholds → more calls → lower break-even per call
@@ -40,7 +42,10 @@ def test_extension_overhead_breakeven(benchmark, archive):
 
 
 def test_extension_discrete_dvfs(benchmark, archive):
-    result = benchmark.pedantic(run_discrete_dvfs, rounds=1, iterations=1)
+    spec = EXPERIMENTS["ext-discrete-dvfs"](False)
+    result = benchmark.pedantic(
+        run_spec, args=(spec,), kwargs={"jobs": 1}, rounds=1, iterations=1
+    ).result
     archive("extension_discrete_dvfs", result.format())
 
     by_name = {row.levels: row for row in result.rows}

@@ -10,11 +10,14 @@ worst on par with the ideal static profile and the Category-1 graphs
 benefit at least as much as Category-2.
 """
 
-from repro.experiments import run_figure6
+from repro.experiments import EXPERIMENTS, run_spec
 
 
 def test_figure6(benchmark, archive):
-    result = benchmark.pedantic(run_figure6, rounds=1, iterations=1)
+    spec = EXPERIMENTS["figure6"](False)
+    result = benchmark.pedantic(
+        run_spec, args=(spec,), kwargs={"jobs": 1}, rounds=1, iterations=1
+    ).result
     archive(
         "figure6",
         result.format(

@@ -6,11 +6,14 @@ channel seeds of the 802.11b workload and asserts the savings
 zero.  This is the statistical backing for the headline claim.
 """
 
-from repro.experiments import run_seed_robustness
+from repro.experiments import EXPERIMENTS, run_spec
 
 
 def test_seed_robustness(benchmark, archive):
-    result = benchmark.pedantic(run_seed_robustness, rounds=1, iterations=1)
+    spec = EXPERIMENTS["ext-robustness"](False)
+    result = benchmark.pedantic(
+        run_spec, args=(spec,), kwargs={"jobs": 1}, rounds=1, iterations=1
+    ).result
     archive("extension_robustness", result.format())
 
     summary = result.summary()

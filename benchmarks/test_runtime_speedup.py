@@ -7,11 +7,14 @@ but the ordering must be decisive), which is what makes runtime
 re-scheduling feasible at all.
 """
 
-from repro.experiments import run_runtime
+from repro.experiments import EXPERIMENTS, run_spec
 
 
 def test_runtime_speedup(benchmark, archive):
-    result = benchmark.pedantic(run_runtime, rounds=1, iterations=1)
+    spec = EXPERIMENTS["runtime"](False)
+    result = benchmark.pedantic(
+        run_spec, args=(spec,), kwargs={"jobs": 1}, rounds=1, iterations=1
+    ).result
     archive("runtime_speedup", result.format())
 
     benchmark.extra_info["geomean_speedup"] = round(result.mean_speedup, 1)

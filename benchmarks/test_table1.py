@@ -5,11 +5,14 @@ energy vs online), reference 2 slightly below 100 (87–97), online
 normalised at 100.
 """
 
-from repro.experiments import run_table1
+from repro.experiments import EXPERIMENTS, run_spec
 
 
 def test_table1(benchmark, archive):
-    result = benchmark.pedantic(run_table1, rounds=1, iterations=1)
+    spec = EXPERIMENTS["table1"](False)
+    result = benchmark.pedantic(
+        run_spec, args=(spec,), kwargs={"jobs": 1}, rounds=1, iterations=1
+    ).result
     archive("table1", result.format())
 
     benchmark.extra_info["mean_ref1"] = round(result.mean_reference_1, 1)

@@ -7,11 +7,14 @@ optimum leaves little for adaptation), with ≈150 calls at T=0.1 and a
 handful at T=0.5.
 """
 
-from repro.experiments import run_table3
+from repro.experiments import EXPERIMENTS, run_spec
 
 
 def test_table3(benchmark, archive):
-    result = benchmark.pedantic(run_table3, rounds=1, iterations=1)
+    spec = EXPERIMENTS["table3"](False)
+    result = benchmark.pedantic(
+        run_spec, args=(spec,), kwargs={"jobs": 1}, rounds=1, iterations=1
+    ).result
     archive("table3", result.format())
 
     for row in result.rows:

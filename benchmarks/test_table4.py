@@ -7,11 +7,14 @@ average, with Category-1 (nested fork-join) graphs benefiting more
 than Category-2, and call counts ~3–10 (T=0.5) vs ~100–250 (T=0.1).
 """
 
-from repro.experiments import run_table4
+from repro.experiments import EXPERIMENTS, run_spec
 
 
 def test_table4(benchmark, archive):
-    result = benchmark.pedantic(run_table4, rounds=1, iterations=1)
+    spec = EXPERIMENTS["table4"](False)
+    result = benchmark.pedantic(
+        run_spec, args=(spec,), kwargs={"jobs": 1}, rounds=1, iterations=1
+    ).result
     archive(
         "table4",
         result.format(

@@ -87,14 +87,13 @@ by hand); ``demo`` schedules the paper's Figure-1 example.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
-from typing import Callable, Dict
 
 from . import experiments
-from .experiments import ExperimentSpec
+from .experiments import EXPERIMENTS, POLICY_EXPERIMENTS
 from .io import InstanceFormatError, load_instance
 from .scheduling import (
     SPEED_POLICIES,
@@ -103,160 +102,6 @@ from .scheduling import (
     schedule_online,
     set_deadline_from_makespan,
 )
-
-#: Cells kept per experiment under ``--smoke``.
-SMOKE_CELLS = 2
-#: Trace length used by trace-driven experiments under ``--smoke``.
-SMOKE_LENGTH = 200
-
-
-def _subset(spec: ExperimentSpec, count: int = SMOKE_CELLS) -> ExperimentSpec:
-    """The same spec restricted to its first ``count`` cells."""
-    return dataclasses.replace(spec, cells=spec.cells[:count])
-
-
-def _subset_bias(spec: ExperimentSpec) -> ExperimentSpec:
-    """One graph per CTG category (the bias summaries average both)."""
-    return dataclasses.replace(spec, cells=(spec.cells[0], spec.cells[5]))
-
-
-def _titled(spec: ExperimentSpec, title: str, note: str) -> ExperimentSpec:
-    """Attach a render closure for results whose format() takes a title."""
-    spec.render = lambda result: result.format(title, note)
-    return spec
-
-
-def _spec_table1(smoke: bool, policy: str = "continuous") -> ExperimentSpec:
-    spec = experiments.table1_spec(speed_policy=policy)
-    return _subset(spec) if smoke else spec
-
-
-def _spec_figure4(smoke: bool) -> ExperimentSpec:
-    return experiments.figure4_spec(length=SMOKE_LENGTH if smoke else 1000)
-
-
-def _spec_figure5(smoke: bool) -> ExperimentSpec:
-    if smoke:
-        return experiments.mpeg_spec(
-            movies=("Airwolf", "Bike"), length=SMOKE_LENGTH
-        )
-    return experiments.mpeg_spec()
-
-
-def _spec_table3(smoke: bool) -> ExperimentSpec:
-    spec = experiments.table3_spec(length=SMOKE_LENGTH if smoke else 1000)
-    return _subset(spec) if smoke else spec
-
-
-def _spec_table4(smoke: bool) -> ExperimentSpec:
-    spec = experiments.bias_spec("lowest", trace_length=100 if smoke else 1000)
-    if smoke:
-        spec = _subset_bias(spec)
-    return _titled(
-        spec,
-        "Table 4 — online profiled for lowest-energy minterm",
-        "(paper: adaptive saves ~22-23% on average)",
-    )
-
-
-def _spec_table5(smoke: bool) -> ExperimentSpec:
-    spec = experiments.bias_spec("highest", trace_length=100 if smoke else 1000)
-    if smoke:
-        spec = _subset_bias(spec)
-    return _titled(
-        spec,
-        "Table 5 — online profiled for highest-energy minterm",
-        "(paper: adaptive saves only ~3-5% on average)",
-    )
-
-
-def _spec_figure6(smoke: bool) -> ExperimentSpec:
-    spec = experiments.bias_spec(
-        "ideal", thresholds=(0.5,), trace_length=100 if smoke else 1000
-    )
-    if smoke:
-        spec = _subset_bias(spec)
-    return _titled(
-        spec,
-        "Figure 6 — ideal profiling vs adaptive T=0.5",
-        "(paper: adaptive ~10% better overall)",
-    )
-
-
-def _spec_runtime(smoke: bool) -> ExperimentSpec:
-    spec = experiments.runtime_spec(repeats=1 if smoke else 3)
-    return _subset(spec) if smoke else spec
-
-
-def _spec_ablation_window(smoke: bool) -> ExperimentSpec:
-    if smoke:
-        return experiments.sweep_spec(
-            windows=(20,), thresholds=(0.5, 0.1), length=SMOKE_LENGTH
-        )
-    return experiments.sweep_spec()
-
-
-def _spec_ablation_weighting(smoke: bool) -> ExperimentSpec:
-    spec = experiments.weighting_spec()
-    return _subset(spec) if smoke else spec
-
-
-def _spec_ext_predictors(smoke: bool) -> ExperimentSpec:
-    if smoke:
-        return experiments.predictor_spec(movies=("Airwolf",), length=SMOKE_LENGTH)
-    return experiments.predictor_spec()
-
-
-def _spec_ext_overhead(smoke: bool) -> ExperimentSpec:
-    if smoke:
-        return experiments.overhead_spec(thresholds=(0.5, 0.1), length=SMOKE_LENGTH)
-    return experiments.overhead_spec()
-
-
-def _spec_ext_discrete(smoke: bool) -> ExperimentSpec:
-    spec = experiments.discrete_spec()
-    return _subset(spec) if smoke else spec
-
-
-def _spec_ext_robustness(smoke: bool) -> ExperimentSpec:
-    if smoke:
-        return experiments.robustness_spec(seeds=(20, 21), length=SMOKE_LENGTH)
-    return experiments.robustness_spec()
-
-
-def _spec_montecarlo(smoke: bool) -> ExperimentSpec:
-    if smoke:
-        return experiments.montecarlo_spec(
-            workloads=("mpeg", "cruise"), n=256
-        )
-    return experiments.montecarlo_spec()
-
-
-#: Experiment registry: CLI name → spec factory taking the smoke flag.
-EXPERIMENTS: Dict[str, Callable[[bool], ExperimentSpec]] = {
-    "table1": _spec_table1,
-    "figure4": _spec_figure4,
-    "figure5": _spec_figure5,
-    "table3": _spec_table3,
-    "table4": _spec_table4,
-    "table5": _spec_table5,
-    "figure6": _spec_figure6,
-    "runtime": _spec_runtime,
-    "ablation-window": _spec_ablation_window,
-    "ablation-weighting": _spec_ablation_weighting,
-    "ext-predictors": _spec_ext_predictors,
-    "ext-overhead": _spec_ext_overhead,
-    "ext-discrete-dvfs": _spec_ext_discrete,
-    "ext-robustness": _spec_ext_robustness,
-    "montecarlo": _spec_montecarlo,
-}
-
-#: Experiments that accept ``--policy`` (a speed-policy axis); the
-#: rest error out under a non-continuous policy instead of silently
-#: ignoring the flag.
-POLICY_EXPERIMENTS: Dict[str, Callable[[bool, str], ExperimentSpec]] = {
-    "table1": _spec_table1,
-}
 
 
 def _cli_cache(args: argparse.Namespace):
@@ -351,8 +196,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     artifacts_dir = Path(args.artifacts_dir) if args.artifacts_dir else None
     for name in names:
-        if args.policy != "continuous":
-            spec = POLICY_EXPERIMENTS[name](args.smoke, args.policy)
+        if name in POLICY_EXPERIMENTS:
+            spec = EXPERIMENTS[name](args.smoke, args.policy)
         else:
             spec = EXPERIMENTS[name](args.smoke)
         tracer = None
@@ -398,12 +243,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Smoke-mode chaos matrix: one workload, the gated plans, both the
-#: default policy and the no-reaction baseline, a seconds-scale trace.
-CHAOS_SMOKE_WORKLOADS = ("mpeg",)
-CHAOS_SMOKE_LENGTH = 150
-CHAOS_SMOKE_TRAIN = 30
-
 #: ``--gate`` threshold on the pooled default-policy recovery rate.
 CHAOS_RECOVERY_GATE = 0.90
 
@@ -412,11 +251,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from .experiments import chaos as chaos_mod
 
     if args.smoke:
-        workloads = tuple(args.workloads or CHAOS_SMOKE_WORKLOADS)
+        workloads = tuple(args.workloads or chaos_mod.CHAOS_SMOKE_WORKLOADS)
         plans = tuple(args.plans or chaos_mod.SMOKE_PLANS)
         policies = tuple(args.policies or ("default", "none"))
-        length = args.length or CHAOS_SMOKE_LENGTH
-        train = CHAOS_SMOKE_TRAIN
+        length = args.length or chaos_mod.CHAOS_SMOKE_LENGTH
+        train = chaos_mod.CHAOS_SMOKE_TRAIN
     else:
         workloads = tuple(args.workloads or chaos_mod.CHAOS_WORKLOADS)
         plans = tuple(args.plans) if args.plans else None
@@ -921,6 +760,32 @@ def _cmd_demo(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """``argparse`` type of ``--jobs``, ``--reorder-window`` and
+    ``--length``: an integer >= 1, rejected here rather than deep in the
+    engine or the trace replay."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _seconds(text: str) -> float:
+    """``argparse`` type of ``--heartbeat``: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a number of seconds >= 0, got {text!r}"
+        )
+    return value
+
+
 def main(argv=None) -> int:
     """Entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
@@ -935,7 +800,7 @@ def main(argv=None) -> int:
     run.add_argument("names", nargs="+", metavar="EXPERIMENT")
     run.add_argument(
         "--jobs",
-        type=int,
+        type=_count,
         default=None,
         metavar="N",
         help="worker processes for independent cells "
@@ -971,7 +836,7 @@ def main(argv=None) -> int:
     )
     run.add_argument(
         "--reorder-window",
-        type=int,
+        type=_count,
         default=None,
         metavar="N",
         help="bound on in-flight cells / resident out-of-order results "
@@ -1030,7 +895,7 @@ def main(argv=None) -> int:
     )
     run.add_argument(
         "--heartbeat",
-        type=float,
+        type=_seconds,
         default=None,
         metavar="SECONDS",
         help="fleet worker heartbeat interval: enables worker telemetry "
@@ -1067,12 +932,12 @@ def main(argv=None) -> int:
     )
     chaos.add_argument(
         "--length",
-        type=int,
+        type=_count,
         default=None,
         metavar="N",
         help="trace length per cell (default: full 400, smoke 150)",
     )
-    chaos.add_argument("--jobs", type=int, default=None, metavar="N")
+    chaos.add_argument("--jobs", type=_count, default=None, metavar="N")
     chaos.add_argument("--cache-dir", default=None, metavar="DIR")
     chaos.add_argument(
         "--cache",
@@ -1095,7 +960,7 @@ def main(argv=None) -> int:
     )
     chaos.add_argument(
         "--reorder-window",
-        type=int,
+        type=_count,
         default=None,
         metavar="N",
         help="bound on in-flight cells (default: 1 serial, "
@@ -1153,7 +1018,7 @@ def main(argv=None) -> int:
     )
     chaos.add_argument(
         "--heartbeat",
-        type=float,
+        type=_seconds,
         default=None,
         metavar="SECONDS",
         help="fleet worker heartbeat interval: enables worker telemetry "
@@ -1262,7 +1127,7 @@ def main(argv=None) -> int:
         help="fault plan from the chaos catalogue, or 'none' for a "
         "fault-free adaptive run (default: overrun)",
     )
-    trace.add_argument("--length", type=int, default=TRACE_LENGTH, metavar="N")
+    trace.add_argument("--length", type=_count, default=TRACE_LENGTH, metavar="N")
     trace.add_argument("--train", type=int, default=TRACE_TRAIN, metavar="N")
     trace.add_argument("--seed", type=int, default=7, metavar="SEED")
     trace.add_argument(

@@ -1,17 +1,11 @@
 """Experiment harnesses — one per table/figure of the paper plus
 ablations, all declared as :class:`~repro.experiments.spec.
 ExperimentSpec` and executed by the parallel, cached engine in
-:mod:`repro.experiments.engine`.  Both the benchmark suite and the
-examples drive these."""
+:mod:`repro.experiments.engine`.  :mod:`repro.experiments.registry`
+names them and fixes their paper and smoke sizes; the CLI, the
+benchmark suite and the examples run them with :func:`run_spec`."""
 
-from .ablations import (
-    SweepResult,
-    WeightingResult,
-    run_weighting_ablation,
-    run_window_threshold_sweep,
-    sweep_spec,
-    weighting_spec,
-)
+from .ablations import SweepResult, WeightingResult, sweep_spec, weighting_spec
 from .artifacts import (
     ARTIFACT_SCHEMA,
     ArtifactError,
@@ -31,13 +25,7 @@ from .backends import (
     parse_backend_uri,
 )
 from .cache import ENTRY_VERSION, CacheStats, CellCache, resolve_cache
-from .chaos import (
-    ChaosResult,
-    ChaosRow,
-    chaos_spec,
-    fault_plan_catalogue,
-    run_chaos,
-)
+from .chaos import ChaosResult, ChaosRow, chaos_spec, fault_plan_catalogue
 from .engine import (
     EngineError,
     EngineStats,
@@ -54,21 +42,14 @@ from .extensions import (
     overhead_spec,
     predictor_spec,
     robustness_spec,
-    run_discrete_dvfs,
-    run_overhead_breakeven,
-    run_predictor_comparison,
-    run_seed_robustness,
 )
-from .figure4 import Figure4Result, figure4_spec, run_figure4
-from .montecarlo import (
-    MonteCarloSweepResult,
-    montecarlo_spec,
-    run_montecarlo,
-)
-from .mpeg_energy import MpegResult, mpeg_spec, run_mpeg_energy
-from .runtime import RuntimeResult, run_runtime, runtime_spec
+from .figure4 import Figure4Result, figure4_spec
+from .montecarlo import MonteCarloSweepResult, montecarlo_spec
+from .mpeg_energy import MpegResult, mpeg_spec
+from .registry import EXPERIMENTS, POLICY_EXPERIMENTS
+from .runtime import RuntimeResult, runtime_spec
 from .spec import Cell, CellResult, ExperimentSpec, SpecError, derive_cell_seeds
-from .table1 import Table1Result, run_table1, table1_spec
+from .table1 import Table1Result, table1_spec
 from .workers import (
     STARTUP_GRACE_SECONDS,
     WORKER_KINDS,
@@ -81,15 +62,8 @@ from .workers import (
     worker_main,
     write_frame,
 )
-from .table3 import Table3Result, run_table3, table3_spec
-from .table45 import (
-    BiasResult,
-    bias_spec,
-    run_bias_experiment,
-    run_figure6,
-    run_table4,
-    run_table5,
-)
+from .table3 import Table3Result, table3_spec
+from .table45 import BiasResult, bias_spec
 
 __all__ = [
     "ARTIFACT_SCHEMA",
@@ -103,7 +77,6 @@ __all__ = [
     "ChaosRow",
     "chaos_spec",
     "fault_plan_catalogue",
-    "run_chaos",
     "Cell",
     "CellResult",
     "ExperimentSpec",
@@ -137,8 +110,6 @@ __all__ = [
     "write_frame",
     "SweepResult",
     "WeightingResult",
-    "run_weighting_ablation",
-    "run_window_threshold_sweep",
     "sweep_spec",
     "weighting_spec",
     "DiscreteResult",
@@ -149,32 +120,20 @@ __all__ = [
     "overhead_spec",
     "predictor_spec",
     "robustness_spec",
-    "run_discrete_dvfs",
-    "run_overhead_breakeven",
-    "run_predictor_comparison",
-    "run_seed_robustness",
     "Figure4Result",
     "figure4_spec",
-    "run_figure4",
     "MonteCarloSweepResult",
     "montecarlo_spec",
-    "run_montecarlo",
     "MpegResult",
     "mpeg_spec",
-    "run_mpeg_energy",
+    "EXPERIMENTS",
+    "POLICY_EXPERIMENTS",
     "RuntimeResult",
-    "run_runtime",
     "runtime_spec",
     "Table1Result",
-    "run_table1",
     "table1_spec",
     "Table3Result",
-    "run_table3",
     "table3_spec",
     "BiasResult",
     "bias_spec",
-    "run_bias_experiment",
-    "run_figure6",
-    "run_table4",
-    "run_table5",
 ]

@@ -120,6 +120,11 @@ def fault_plan_catalogue(seed: int = 1033) -> Dict[str, FaultPlan]:
 #: Plans the smoke matrix runs (CI gates a ≥90% recovery rate on these).
 SMOKE_PLANS: Tuple[str, ...] = ("overrun", "overrun-drop", "pe-degraded")
 
+#: The rest of the smoke matrix: one workload, a seconds-scale trace.
+CHAOS_SMOKE_WORKLOADS: Tuple[str, ...] = ("mpeg",)
+CHAOS_SMOKE_LENGTH = 150
+CHAOS_SMOKE_TRAIN = 30
+
 
 @dataclass
 class ChaosRow:
@@ -350,21 +355,3 @@ def _workload_fingerprint(workload: str) -> str:
     ctg = getattr(workloads, f"{workload}_ctg")()
     platform = getattr(workloads, f"{workload}_platform")()
     return instance_fingerprint(ctg, platform)
-
-
-def run_chaos(
-    workloads: Tuple[str, ...] = CHAOS_WORKLOADS,
-    plans: Optional[Tuple[str, ...]] = None,
-    policies: Tuple[str, ...] = ("default", "none"),
-    length: int = CHAOS_LENGTH,
-    jobs: int = 1,
-    cache: Optional[object] = None,
-    speed_policy: str = "continuous",
-) -> ChaosResult:
-    """Run the chaos matrix through the engine."""
-    from .engine import run_spec
-
-    spec = chaos_spec(
-        workloads, plans, policies, length=length, speed_policy=speed_policy
-    )
-    return run_spec(spec, jobs=jobs, cache=cache).result

@@ -15,8 +15,8 @@ import json
 
 import pytest
 
-from repro.__main__ import EXPERIMENTS
 from repro.experiments import (
+    EXPERIMENTS,
     CellCache,
     canonical_artifact_payload,
     run_spec,

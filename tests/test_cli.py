@@ -6,8 +6,13 @@ import sys
 
 import pytest
 
-from repro.__main__ import EXPERIMENTS, main
-from repro.experiments import ARTIFACT_SCHEMA, load_artifact, validate_artifact
+from repro.__main__ import main
+from repro.experiments import (
+    ARTIFACT_SCHEMA,
+    EXPERIMENTS,
+    load_artifact,
+    validate_artifact,
+)
 from repro.ctg import figure1_ctg
 from repro.io import save_instance
 from repro.platform import PlatformConfig, generate_platform
@@ -180,3 +185,33 @@ def test_malformed_instance_reports_without_traceback(tmp_path, verb, contents):
     assert result.returncode != 0
     assert "Traceback" not in result.stderr, result.stderr
     assert f"cannot load instance {path}" in result.stderr
+
+
+#: malformed engine/trace arguments: each must be refused at the CLI
+#: boundary, not fail deep in the engine, the fleet or the replay
+MALFORMED_ARGUMENTS = [
+    ["run", "table1", "--smoke", "--jobs", "0"],
+    ["run", "table1", "--smoke", "--jobs", "-1"],
+    ["run", "table1", "--smoke", "--reorder-window", "0"],
+    ["run", "table1", "--smoke", "--workers", "fleet", "--heartbeat", "-1"],
+    ["chaos", "--smoke", "--jobs", "0"],
+    ["chaos", "--smoke", "--length", "0"],
+    ["trace", "mpeg", "--length", "0"],
+    ["trace", "mpeg", "--length", "-5"],
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGUMENTS, ids=" ".join)
+def test_malformed_engine_arguments_exit_2(tmp_path, argv):
+    verb, flag = argv[0], argv[-2]
+    out = ["--out", str(tmp_path / "run.trace.json")] if verb == "trace" else []
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", *argv, *out],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr, result.stderr
+    assert f"{verb}: " in result.stderr
+    assert flag in result.stderr

@@ -26,6 +26,7 @@ SUBPACKAGES = [
     "repro.check",
     "repro.faults",
     "repro.experiments.workers",
+    "repro.experiments.registry",
     "repro.__main__",
 ]
 
